@@ -118,16 +118,6 @@ let policy_of_file path : Policy.t =
    enables growth, [MM_HEAP_MAX] sets the semispace cap in words (growth
    is implied when a cap is given), [MM_ALLOC_STORM] forces a collection
    every Nth allocation (fault-injection pressure). *)
-let env_truthy name =
-  match Sys.getenv_opt name with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | _ -> false
-
-let env_pos_int name =
-  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-  | Some n when n >= 1 -> Some n
-  | _ -> None
-
 (** Default semispace cap when growth is on but no cap was given: plenty
     for every workload in the repo, small enough to stay a sane bound. *)
 let default_heap_max_words = 4_194_304
@@ -139,11 +129,12 @@ let default_heap_max_words = 4_194_304
     and the no-gc configuration have no post-collection safe point to
     resize at. *)
 let arm_heap_policy ?heap_grow ?heap_max_words ~(collector : collector) st =
-  let env_max = env_pos_int "MM_HEAP_MAX" in
+  let env_max = Support.Env.pos_int "MM_HEAP_MAX" in
   let grow =
     match heap_grow with
     | Some b -> b
-    | None -> env_truthy "MM_HEAP_GROW" || heap_max_words <> None || env_max <> None
+    | None ->
+        Support.Env.flag "MM_HEAP_GROW" || heap_max_words <> None || env_max <> None
   in
   let moving = match collector with Precise | Generational -> true | _ -> false in
   if grow && moving then begin
@@ -156,7 +147,7 @@ let arm_heap_policy ?heap_grow ?heap_max_words ~(collector : collector) st =
     st.Vm.Interp.heap_max_words <- max cap st.Vm.Interp.from_words;
     st.Vm.Interp.heap_min_words <- st.Vm.Interp.from_words
   end;
-  match env_pos_int "MM_ALLOC_STORM" with
+  match Support.Env.pos_int "MM_ALLOC_STORM" with
   | Some n -> st.Vm.Interp.alloc_pressure_every <- n
   | None -> ()
 

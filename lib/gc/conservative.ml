@@ -13,8 +13,6 @@
     [on_alloc] hook to know object boundaries, standing in for the
     allocator metadata a real conservative collector keeps. *)
 
-let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
-
 module T = Telemetry
 
 let c_collections = T.Metrics.counter "gc.collections"
@@ -58,7 +56,7 @@ let find_object c v =
 
 let collect_now (c : t) =
   let st = c.st in
-  let t0 = now_ns () in
+  let t0 = T.Control.now_ns () in
   let gcs = st.Vm.Interp.gc in
   gcs.Vm.Interp.collections <- gcs.Vm.Interp.collections + 1;
   T.Metrics.incr c_collections;
@@ -123,7 +121,7 @@ let collect_now (c : t) =
   st.Vm.Interp.free_list <- blocks;
   c.marked_last <- Hashtbl.length marked;
   c.swept_last <- List.length !freed;
-  let dt = Int64.sub (now_ns ()) t0 in
+  let dt = Int64.sub (T.Control.now_ns ()) t0 in
   gcs.Vm.Interp.total_gc_ns <- Int64.add gcs.Vm.Interp.total_gc_ns dt;
   T.Trace.end_span
     ~args:

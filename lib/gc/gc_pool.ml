@@ -25,11 +25,6 @@
 
 let max_workers = 64
 
-let env_int name =
-  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-  | Some n when n >= 1 -> Some n
-  | _ -> None
-
 let forced_workers = ref None
 
 (** Set the worker count (clamped to [1, 64]); overrides [MM_GC_WORKERS]. *)
@@ -41,7 +36,7 @@ let workers () =
   match !forced_workers with
   | Some n -> n
   | None -> (
-      match env_int "MM_GC_WORKERS" with
+      match Support.Env.pos_int "MM_GC_WORKERS" with
       | Some n -> min max_workers n
       | None -> 1)
 
@@ -57,7 +52,7 @@ let par_threshold () =
   match !forced_threshold with
   | Some n -> n
   | None -> (
-      match env_int "MM_GC_PAR_THRESHOLD" with
+      match Support.Env.pos_int "MM_GC_PAR_THRESHOLD" with
       | Some n -> n
       | None -> default_par_threshold)
 
@@ -77,7 +72,7 @@ let deadline_ns () =
   let ms =
     match !forced_deadline_ms with
     | Some n -> n
-    | None -> ( match env_int "MM_GC_DEADLINE_MS" with Some n -> n | None -> 0)
+    | None -> Option.value ~default:0 (Support.Env.pos_int "MM_GC_DEADLINE_MS")
   in
   Int64.of_int (ms * 1_000_000)
 
@@ -151,7 +146,9 @@ let worker_body idx =
     end
   done
 
-let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
+(* The monotonic telemetry clock: a wall-clock step must not trip the
+   watchdog deadline. *)
+let now_ns = Telemetry.Control.now_ns
 
 let shutdown () =
   Mutex.lock pool.m;

@@ -363,7 +363,7 @@ let slice (st : VI.t) (inc : VI.inc_state) ~start =
   if inc.VI.inc_budget_ns > 0 && dt_i > inc.VI.inc_budget_ns then begin
     inc.VI.inc_overruns <- inc.VI.inc_overruns + 1;
     T.Metrics.incr c_overruns;
-    if Sys.getenv_opt "MM_INC_DEBUG" <> None then
+    if Support.Env.flag "MM_INC_DEBUG" then
       Printf.eprintf
         "[inc] overrun: dt=%dns start=%b w0=%d w=%d quota=%d phase=%s gray=%d\n%!"
         dt_i start w0 w quota
@@ -430,22 +430,12 @@ let collect (st : VI.t) ~needed:_ =
 (* Configuration and installation                                      *)
 (* ------------------------------------------------------------------ *)
 
-let env_truthy name =
-  match Sys.getenv_opt name with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | _ -> false
-
-let env_pos_int name =
-  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-  | Some n when n >= 1 -> Some n
-  | _ -> None
-
 (** [MM_GC_INCREMENTAL] flips every precise-collector entry point into
     incremental mode, exactly as [MM_GEN] does for generational mode. *)
-let env_enabled () = env_truthy "MM_GC_INCREMENTAL"
+let env_enabled () = Support.Env.flag "MM_GC_INCREMENTAL"
 
 (** Pause budget from [MM_PAUSE_BUDGET_US], if set. *)
-let env_budget_us () = env_pos_int "MM_PAUSE_BUDGET_US"
+let env_budget_us () = Support.Env.pos_int "MM_PAUSE_BUDGET_US"
 
 let default_slice_work = 2048
 
@@ -465,7 +455,7 @@ let install ?pause_budget_us ?slice_work ?work_ratio ?trigger_words ?gray_cap
   let pick opt env_name default =
     match opt with
     | Some v -> v
-    | None -> ( match env_pos_int env_name with Some v -> v | None -> default)
+    | None -> Option.value ~default (Support.Env.pos_int env_name)
   in
   let budget_us =
     match pause_budget_us with
@@ -503,11 +493,11 @@ let install ?pause_budget_us ?slice_work ?work_ratio ?trigger_words ?gray_cap
       inc_slice_storm =
         (match slice_storm with
         | Some b -> b
-        | None -> env_truthy "MM_INC_SLICE_STORM");
+        | None -> Support.Env.flag "MM_INC_SLICE_STORM");
       inc_barrier_storm =
         (match barrier_storm with
         | Some b -> b
-        | None -> env_truthy "MM_INC_BARRIER_STORM");
+        | None -> Support.Env.flag "MM_INC_BARRIER_STORM");
       inc_cycles = 0;
       inc_slices = 0;
       inc_overruns = 0;

@@ -38,9 +38,15 @@ let c_violations = Telemetry.Metrics.counter "verify.violations"
 (* Switches                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let env_on name = match Sys.getenv_opt name with Some ("" | "0") | None -> false | Some _ -> true
-let post_flag = ref (env_on "MM_VERIFY_HEAP")
-let pre_flag = ref (env_on "MM_VERIFY_PRE")
+let post_flag = ref false
+let pre_flag = ref false
+
+let reload_env () =
+  post_flag := Support.Env.flag "MM_VERIFY_HEAP";
+  pre_flag := Support.Env.flag "MM_VERIFY_PRE"
+
+let () = reload_env ()
+
 let set_post b = post_flag := b
 let set_pre b = pre_flag := b
 let post_enabled () = !post_flag

@@ -15,12 +15,16 @@
 
 val set_post : bool -> unit
 (** Enable/disable the after-collection pass ([mmrun --verify-heap]).
-    Initial value: set iff the [MM_VERIFY_HEAP] environment variable is a
-    non-empty, non-["0"] string. *)
+    Initial value: the [MM_VERIFY_HEAP] switch, read by
+    {!Support.Env.flag}. *)
 
 val set_pre : bool -> unit
 (** Enable/disable the before-collection pass ([mmrun --verify-pre]).
     Initial value: from [MM_VERIFY_PRE], as {!set_post}. *)
+
+val reload_env : unit -> unit
+(** Reset both passes from [MM_VERIFY_HEAP] and [MM_VERIFY_PRE], as at
+    start-up. *)
 
 val post_enabled : unit -> bool
 val pre_enabled : unit -> bool

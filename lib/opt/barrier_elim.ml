@@ -171,7 +171,11 @@ let func (f : Ir.func) : bool =
       List.iter (fun s -> preds.(s) <- b :: preds.(s)) (Ir.term_succs blk.Ir.term))
     f.Ir.blocks;
   (* Forward must-analysis to a fixpoint: [None] is the optimistic "not yet
-     computed" top, ignored by the meet until the block has been visited. *)
+     computed" top, ignored by the meet until the block has been visited. A
+     block none of whose predecessors has been visited stays at top and is
+     skipped: feeding it bottom would let a later sweep raise it again, and
+     the sweeps would never settle. The entry block and blocks with no
+     predecessors start from bottom. *)
   let outs : state option array = Array.make n None in
   let ins = Array.make n empty_state in
   let changed = ref true in
@@ -179,7 +183,7 @@ let func (f : Ir.func) : bool =
     changed := false;
     for b = 0 to n - 1 do
       let in_set =
-        if b = 0 then empty_state
+        if b = 0 || preds.(b) = [] then Some empty_state
         else
           List.fold_left
             (fun acc p ->
@@ -188,15 +192,17 @@ let func (f : Ir.func) : bool =
               | Some s, None -> Some s
               | Some s, Some a -> Some (state_meet a s))
             None preds.(b)
-          |> Option.value ~default:empty_state
       in
-      ins.(b) <- in_set;
-      let out = List.fold_left (transfer f) in_set f.Ir.blocks.(b).Ir.instrs in
-      match outs.(b) with
-      | Some o when state_equal o out -> ()
-      | _ ->
-          outs.(b) <- Some out;
-          changed := true
+      match in_set with
+      | None -> ()
+      | Some in_set -> (
+          ins.(b) <- in_set;
+          let out = List.fold_left (transfer f) in_set f.Ir.blocks.(b).Ir.instrs in
+          match outs.(b) with
+          | Some o when state_equal o out -> ()
+          | _ ->
+              outs.(b) <- Some out;
+              changed := true)
     done
   done;
   (* Rewrite pass: replay the transfer through each block and relabel the

@@ -296,6 +296,40 @@ let test_verifier_detects_corruption () =
   | exception Vm.Vm_error.Error (Vm.Vm_error.Verify_failed { violations; _ }) ->
       check Alcotest.bool "reported" true (violations <> [])
 
+(* MM_VERIFY_HEAP follows the one switch rule of Support.Env: "false"
+   leaves the verifier off (it used to arm it), "1" arms it. Checked on the
+   flag and on a run that collects. *)
+let test_verifier_env_switch () =
+  let getenv v = Option.value ~default:"" (Sys.getenv_opt v) in
+  let heap0 = getenv "MM_VERIFY_HEAP" and pre0 = getenv "MM_VERIFY_PRE" in
+  let was_post = Gc.Verify.post_enabled () and was_pre = Gc.Verify.pre_enabled () in
+  let verified_run () =
+    let before = Gc.Verify.last_report () in
+    let r =
+      Driver.Compile.run_source ~heap_grow:false
+        ~options:{ Driver.Compile.default_options with heap_words = 300 }
+        Programs.Fieldlist_src.src
+    in
+    check Alcotest.bool "collected" true (r.Driver.Compile.collections > 0);
+    Gc.Verify.last_report () != before
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "MM_VERIFY_HEAP" heap0;
+      Unix.putenv "MM_VERIFY_PRE" pre0;
+      Gc.Verify.set_post was_post;
+      Gc.Verify.set_pre was_pre)
+    (fun () ->
+      Unix.putenv "MM_VERIFY_PRE" "0";
+      Unix.putenv "MM_VERIFY_HEAP" "false";
+      Gc.Verify.reload_env ();
+      check Alcotest.bool "false: flag off" false (Gc.Verify.post_enabled ());
+      check Alcotest.bool "false: no verification" false (verified_run ());
+      Unix.putenv "MM_VERIFY_HEAP" "1";
+      Gc.Verify.reload_env ();
+      check Alcotest.bool "1: flag on" true (Gc.Verify.post_enabled ());
+      check Alcotest.bool "1: verified" true (verified_run ()))
+
 (* ------------------------------------------------------------------ *)
 (* Fault sweeps (reduced iteration counts; tools/faultgen runs the       *)
 (* full-size sweep in CI)                                               *)
@@ -348,6 +382,7 @@ let () =
         [
           Alcotest.test_case "benchmark matrix, zero violations" `Slow test_verifier_matrix;
           Alcotest.test_case "detects corruption" `Quick test_verifier_detects_corruption;
+          Alcotest.test_case "env switch" `Quick test_verifier_env_switch;
         ] );
       ( "fault sweep",
         [

@@ -439,6 +439,12 @@ let test_worker_sweep () =
             Programs.Destroy_src.make ~branch:3 ~depth:4 ~replace_depth:2
               ~iterations:120,
             4000 );
+          (* A live list of INTEGER arrays: wide copy frontiers whose
+             objects are mostly blitted bodies. *)
+          ( "destroy-intballast",
+            Programs.Destroy_src.make_intballast ~intballast:24 ~intchunk:128 ~branch:3
+              ~depth:4 ~replace_depth:2 ~iterations:120,
+            8000 );
         ])
 
 (* Single evacuation, as a property: if some object were copied twice (a

@@ -105,19 +105,30 @@ let with_post_verifier f =
 (* Differential matrix                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Churn, plus destroy with a long-lived ballast list: the ballast keeps a
+   third of the heap live across cycles, the shape on which the collector
+   has to keep up with allocation. *)
+let matrix_inputs =
+  [
+    ("churn", churn_src ~iters:20000 ~period:64, 16384);
+    ( "destroy-ballast",
+      Programs.Destroy_src.make_ballast ~ballast:600 ~branch:3 ~depth:4 ~replace_depth:2
+        ~iterations:200,
+      6000 );
+  ]
+
 let test_matrix () =
   with_post_verifier @@ fun () ->
-  let src = churn_src ~iters:20000 ~period:64 in
   List.iter
-    (fun optimize ->
-      let tag b = Printf.sprintf "%s/O%d" (if b then "threaded" else "switch")
+    (fun ((name, src, heap), optimize) ->
+      let tag b = Printf.sprintf "%s/%s/O%d" name (if b then "threaded" else "switch")
           (if optimize then 1 else 0)
       in
-      let reference = run_cell ~mode:Stw ~threaded:false ~optimize ~heap:16384 src in
+      let reference = run_cell ~mode:Stw ~threaded:false ~optimize ~heap src in
       let cells =
         List.map
           (fun threaded ->
-            (threaded, run_cell ~mode:inc_default ~threaded ~optimize ~heap:16384 src))
+            (threaded, run_cell ~mode:inc_default ~threaded ~optimize ~heap src))
           [ false; true ]
       in
       List.iter
@@ -137,14 +148,15 @@ let test_matrix () =
       match cells with
       | [ (_, a); (_, b) ] ->
           if not (Vm.Mem.equal a.mem b.mem) then
-            Alcotest.failf "O%d: final heap images differ across engines"
+            Alcotest.failf "%s/O%d: final heap images differ across engines" name
               (if optimize then 1 else 0);
           if a.collections <> b.collections then
-            Alcotest.failf "O%d: collection counts differ across engines (%d vs %d)"
+            Alcotest.failf "%s/O%d: collection counts differ across engines (%d vs %d)"
+              name
               (if optimize then 1 else 0)
               a.collections b.collections
       | _ -> assert false)
-    [ false; true ]
+    (List.concat_map (fun input -> [ (input, false); (input, true) ]) matrix_inputs)
 
 (* ------------------------------------------------------------------ *)
 (* Budget smoke                                                        *)

@@ -355,6 +355,35 @@ let test_loop_gcpoints () =
   in
   check Alcotest.string "sum" "5050" (String.trim r.Driver.Compile.output)
 
+(* Regression: barrier_elim's fixpoint once fed bottom to a block whose
+   predecessors were all still unvisited, so a later sweep raised it again
+   and the sweeps never settled; compiling this module never returned. It
+   must compile, terminate and run under the generational collector with
+   the verifier armed. *)
+let test_barrier_elim_terminates () =
+  let src =
+    "MODULE R; VAR g1, l0, l1, iv: INTEGER; arr: REF ARRAY OF INTEGER;\n\
+     BEGIN arr := NEW(REF ARRAY OF INTEGER, 8);\n\
+     FOR iv := 1 TO 3 BY 1 DO IF l1 > 0 THEN arr[6] := l0 END END;\n\
+     PutInt(g1) END R."
+  in
+  let post0 = Gc.Verify.post_enabled () in
+  Gc.Verify.set_post true;
+  Fun.protect
+    ~finally:(fun () -> Gc.Verify.set_post post0)
+    (fun () ->
+      List.iter
+        (fun optimize ->
+          let r =
+            Driver.Compile.run_source
+              ~options:{ Driver.Compile.default_options with optimize; heap_words = 64 }
+              ~collector:Driver.Compile.Generational src
+          in
+          check Alcotest.string
+            (Printf.sprintf "output (optimize=%b)" optimize)
+            "0" (String.trim r.Driver.Compile.output))
+        [ false; true ])
+
 let test_benchmarks_agree_all_passes () =
   (* The four benchmarks plus ambig must produce identical output with the
      full pipeline, each pass being exercised across them. *)
@@ -406,5 +435,9 @@ let () =
           Alcotest.test_case "noalloc reduces gc-points" `Quick
             test_noalloc_reduces_gcpoints;
           Alcotest.test_case "loop gc-points" `Quick test_loop_gcpoints;
+        ] );
+      ( "barrier elimination",
+        [
+          Alcotest.test_case "fixpoint terminates" `Quick test_barrier_elim_terminates;
         ] );
     ]

@@ -172,6 +172,19 @@ let test_growth_matrix () =
   Alcotest.(check bool) "growth exercised" true (tiny.resizes > 0);
   Alcotest.(check bool) "reference collected" true (reference.collections > 0)
 
+let test_growth_matrix_ballast () =
+  (* Live INTEGER-array ballast worth seventeen starting semispaces under tree
+     churn: the tiny cells cannot finish without growing, and each growth
+     step has to carry the whole ballast along. *)
+  let src =
+    Programs.Destroy_src.make_intballast ~intballast:10 ~intchunk:1024 ~branch:3 ~depth:4
+      ~replace_depth:2 ~iterations:150
+  in
+  let reference = check_matrix src in
+  let tiny = run_cell ~gen:false ~threaded:false ~heap:tiny_heap ~grow:true src in
+  Alcotest.(check bool) "growth exercised" true (tiny.resizes > 0);
+  Alcotest.(check bool) "reference collected" true (reference.collections > 0)
+
 let prop_growth_matrix =
   QCheck.Test.make ~name:"growth invisible across random churn parameters"
     ~count:8
@@ -300,6 +313,7 @@ let () =
       ( "growth",
         [
           Alcotest.test_case "matrix on churn" `Quick test_growth_matrix;
+          Alcotest.test_case "matrix on array ballast" `Quick test_growth_matrix_ballast;
           QCheck_alcotest.to_alcotest prop_growth_matrix;
           Alcotest.test_case "alloc storm" `Quick test_alloc_storm;
         ] );

@@ -1,5 +1,6 @@
 (* Unit and property tests for the support library: the Fig. 3 varint
-   codec, bitsets, growable arrays and the PRNG. *)
+   codec, bitsets, growable arrays, the PRNG and the environment switch
+   readers. *)
 
 open Support
 
@@ -193,6 +194,49 @@ let test_prng_bounds () =
   Alcotest.check_raises "bad bound" (Invalid_argument "Prng.int: bound must be positive")
     (fun () -> ignore (Prng.int p 0))
 
+(* ------------------------------------------------------------------ *)
+(* Env                                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let with_env name value f =
+  let old = Option.value ~default:"" (Sys.getenv_opt name) in
+  Unix.putenv name value;
+  Fun.protect ~finally:(fun () -> Unix.putenv name old) f
+
+let test_env_flag () =
+  let v = "MM_TEST_ENV_FLAG" in
+  let read value ~default = with_env v value (fun () -> Env.flag ~default v) in
+  List.iter
+    (fun value ->
+      check Alcotest.bool (value ^ " is on") true (read value ~default:false);
+      check Alcotest.bool (value ^ " is on over default") true (read value ~default:true))
+    [ "1"; "true"; "yes"; "on" ];
+  List.iter
+    (fun value ->
+      check Alcotest.bool (value ^ " is off") false (read value ~default:false);
+      check Alcotest.bool (value ^ " is off over default") false (read value ~default:true))
+    [ "0"; "false"; "no"; "off" ];
+  List.iter
+    (fun value ->
+      check Alcotest.bool (Printf.sprintf "%S gives default false" value) false
+        (read value ~default:false);
+      check Alcotest.bool (Printf.sprintf "%S gives default true" value) true
+        (read value ~default:true))
+    [ ""; "2"; "maybe" ];
+  check Alcotest.bool "unset is off" false (Env.flag "MM_TEST_ENV_FLAG_UNSET")
+
+let test_env_pos_int () =
+  let v = "MM_TEST_ENV_INT" in
+  let read value = with_env v value (fun () -> Env.pos_int v) in
+  let opt = Alcotest.(option int) in
+  check opt "positive" (Some 42) (read "42");
+  check opt "one" (Some 1) (read "1");
+  check opt "zero" None (read "0");
+  check opt "negative" None (read "-3");
+  check opt "empty" None (read "");
+  check opt "not a number" None (read "12k");
+  check opt "unset" None (Env.pos_int "MM_TEST_ENV_INT_UNSET")
+
 let () =
   Alcotest.run "support"
     [
@@ -221,5 +265,10 @@ let () =
           Alcotest.test_case "growarr" `Quick test_growarr;
           Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
           Alcotest.test_case "prng bounds" `Quick test_prng_bounds;
+        ] );
+      ( "env",
+        [
+          Alcotest.test_case "flag" `Quick test_env_flag;
+          Alcotest.test_case "pos_int" `Quick test_env_pos_int;
         ] );
     ]
